@@ -1,13 +1,13 @@
-// Fused-vs-staged-vs-interpreter datapath comparison.  Not a paper figure:
+// Fused vs per-table-JIT vs interpreter datapath comparison.  Not a paper figure:
 // this bench guards the whole-pipeline JIT fusion fast path (jit/fusion.hpp)
 // — one direct-code function for the steady-state goto graph, inter-table
 // dispatch inlined, goto targets resolved at compile time.
 //
 // Three modes per point, emitted as separate points of BENCH_fusion.json and
-// tagged with the `fused` counter (1 = a fused plan was actually published):
+// tagged with the `fused` counter (1 = Eswitch::fused_active() after install):
 //   mode:2  burst harness + fused whole-pipeline plan  (the production shape)
-//   mode:1  burst harness + staged per-table JIT walk  (fusion disabled:
-//           same burst batching, per-table trampoline dispatch inside)
+//   mode:1  burst harness + per-table JIT plan walk    (fusion disabled:
+//           the same plan, no machine program; dispatch stays in C++)
 //   mode:0  burst harness + interpreter                (JIT off entirely)
 //
 // Three workloads:

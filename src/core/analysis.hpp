@@ -52,10 +52,10 @@ struct CompilerConfig {
   /// allowed; install() is not subject to the cap (it is the operator's
   /// wholesale program load, not controller churn).
   uint32_t table_capacity = 0;
-  /// Whole-pipeline fusion (jit/fusion.hpp): compile the steady-state goto
-  /// graph's direct-code members into one function and run bursts through it.
-  /// Non-fusable features (decomposed sub-slots, missing impls) and fused
-  /// compile failures degrade to the staged per-table walk.
+  /// Whole-pipeline fusion (jit/fusion.hpp): compile the pipeline plan's
+  /// direct-code members into one machine function the burst walk enters.
+  /// Off, or after a refused fused compile, bursts run the same plan without
+  /// machine code; the plan itself is always built.
   bool enable_fusion = true;
   /// Re-JIT retry pacing after a direct-code table degrades to the
   /// interpreter (exec mapping refused): first retry after this many

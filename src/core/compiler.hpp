@@ -5,7 +5,7 @@
 
 #include <array>
 #include <memory>
-#include <string>
+#include <vector>
 
 #include "core/analysis.hpp"
 #include "core/compiled_table.hpp"
@@ -37,36 +37,35 @@ proto::ParserPlan plan_for_requirements(uint32_t required);
 /// dependencies, dec-TTL).
 uint32_t action_proto_requirements(const flow::ActionList& actions);
 
-/// Outcome of one fusion-planning pass over the steady-state pipeline.
+/// Outcome of one planning pass over the pipeline.
 struct FusionResult {
-  /// The plan to publish, or nullptr: either the pipeline is not fusable
-  /// (why_not says why) or the machine compile failed (machine_failed) —
-  /// both degrade to the staged walk.
+  /// The plan to publish; nullptr when the currently published plan is
+  /// already exact (same fingerprint) or the pipeline is empty.
   std::unique_ptr<FusedPipeline> fused;
-  /// The currently published plan is already exact (same fingerprint):
-  /// skip the republish entirely.
-  bool unchanged = false;
-  /// Machine code was wanted but ExecBuffer refused the mapping (the
-  /// jit.exec_map edge) — eligible for the bounded re-fusion retry.
+  /// Machine code was wanted but the fused emit was refused (the jit.exec_map
+  /// edge): the plan carries no machine program and is eligible for the
+  /// bounded re-fusion retry.
   bool machine_failed = false;
-  std::string why_not;
 };
 
-/// Decides fusability and builds the fused plan for the pipeline's current
-/// compiled state.  Fusability rules: fusion enabled, non-empty pipeline, no
-/// decomposed logical tables (their goto graph lives in private sub-slots),
-/// every table's root slot published with a live impl, and the datapath
-/// start pointing at the first table.  Conntrack hooks and controller miss
-/// policies ARE fusable — they ride the chunk's pre/post stages.
+/// Builds the burst walk's plan for the pipeline's current compiled state:
+/// one stage per table root in table-id order, each decomposed root followed
+/// by its sub-slots (`sub_slots[id]`, in the decomposition's topological
+/// order), so every goto moves forward.  A slot whose impl is not built yet
+/// becomes a stage that always misses.  Conntrack hooks and controller miss
+/// policies ride the walk's pre/post stages and miss handling.
 ///
-/// When `prev` (the currently published plan) is passed: an identical
-/// fingerprint short-circuits to `unchanged`, and an identical direct-code
-/// member set (program_key) reuses the previous machine program instead of
-/// re-emitting — churn that only touched non-direct-code tables (hash
-/// clone-swaps, in-place LPM) republishes the plan without running the JIT.
+/// With `emit_machine`, the direct-code members are compiled into one
+/// machine function; otherwise (fusion or JIT off, or inside a re-fusion
+/// retry window) the same plan is returned without one.  When `prev` (the
+/// currently published plan) is passed: an identical fingerprint returns no
+/// plan, and an identical direct-code member set (program_key) reuses the
+/// previous machine program instead of re-emitting — churn that only touched
+/// non-direct-code tables (hash clone-swaps, in-place LPM) republishes the
+/// plan without running the JIT.
 FusionResult fuse_pipeline(const flow::Pipeline& pl, const CompiledDatapath& dp,
                            const GotoMap& goto_map,
-                           const std::array<bool, 256>& decomposed,
-                           const CompilerConfig& cfg, const FusedPipeline* prev);
+                           const std::array<std::vector<int32_t>, 256>& sub_slots,
+                           bool emit_machine, const FusedPipeline* prev);
 
 }  // namespace esw::core

@@ -1,5 +1,6 @@
 #include "core/decompose.hpp"
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -165,6 +166,38 @@ class Decomposer {
   bool overflow_ = false;
 };
 
+// Renumbers the tables into a topological order of the decomposition DAG
+// (reverse DFS postorder from the root): every internal_next then points at a
+// higher index.  Emit order alone does not guarantee that — a memoized
+// residual table can be allocated before a later router that jumps to it —
+// and the burst walk only ever moves forward through a pipeline's stages.
+void topo_renumber(DecomposedPipeline& d) {
+  const size_t n = d.tables.size();
+  std::vector<int32_t> order;
+  order.reserve(n);
+  std::vector<bool> seen(n, false);
+  const auto visit = [&](const auto& self, int32_t t) -> void {
+    seen[static_cast<size_t>(t)] = true;
+    for (const Entry& e : d.tables[static_cast<size_t>(t)].entries)
+      if (e.internal_next >= 0 && !seen[static_cast<size_t>(e.internal_next)])
+        self(self, e.internal_next);
+    order.push_back(t);
+  };
+  visit(visit, 0);
+  ESW_CHECK(order.size() == n);  // every emitted table hangs off the root
+  std::reverse(order.begin(), order.end());
+
+  std::vector<int32_t> pos(n);
+  for (size_t k = 0; k < n; ++k) pos[static_cast<size_t>(order[k])] = static_cast<int32_t>(k);
+  std::vector<Table> sorted(n);
+  for (size_t k = 0; k < n; ++k) {
+    sorted[k] = std::move(d.tables[static_cast<size_t>(order[k])]);
+    for (Entry& e : sorted[k].entries)
+      if (e.internal_next >= 0) e.internal_next = pos[static_cast<size_t>(e.internal_next)];
+  }
+  d.tables = std::move(sorted);
+}
+
 DecomposedPipeline passthrough(const flow::FlowTable& input) {
   DecomposedPipeline out;
   out.tables.emplace_back();
@@ -187,6 +220,7 @@ DecomposedPipeline decompose(const flow::FlowTable& input, uint32_t max_tables) 
   const int32_t root = d.run(std::move(work), out);
   if (root < 0) return passthrough(input);
   ESW_CHECK(root == 0);  // router/leaf allocated first
+  topo_renumber(out);
   return out;
 }
 

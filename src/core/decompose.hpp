@@ -21,9 +21,10 @@
 
 namespace esw::core {
 
-/// A decomposition-internal pipeline.  Table 0 is the root; `internal_next`
-/// links within the decomposition; leaves carry the original entry's actions
-/// and logical goto target.
+/// A decomposition-internal pipeline.  Table 0 is the root and the tables are
+/// in a topological order of the DAG: `internal_next` links within the
+/// decomposition always point at a higher index.  Leaves carry the original
+/// entry's actions and logical goto target.
 struct DecomposedPipeline {
   struct Entry {
     flow::Match match;

@@ -66,48 +66,41 @@ void Eswitch::compile_all() {
   installing_ = false;
 }
 
-/// Re-plans the fused whole-pipeline fast path against the freshly published
-/// compiled state.  Must run after every control-plane mutation and *before*
-/// dp_.reclaim(): a published plan pins impl pointers, so any update that
-/// retired one has to republish (or clear) the plan while the retiree is
-/// still in its grace period.
+/// Re-plans the burst walk against the freshly published compiled state.
+/// Must run after every control-plane mutation and *before* dp_.reclaim():
+/// the published plan pins impl pointers, so any update that retired one has
+/// to republish the plan while the retiree is still in its grace period.
 void Eswitch::refresh_fusion() {
-  if (!cfg_.enable_fusion) return;  // never published
-  // Retry pacing after a fused machine-compile failure: stay staged until
-  // the window elapses (no plan is published then — see fusion_retry_'s
-  // invariant — so skipping the re-plan cannot strand stale pointers).
-  if (fusion_retry_.has_value() && update_seq_ < fusion_retry_->next_at) return;
+  // Retry pacing after a refused fused emit: inside the window the plan is
+  // republished without a machine program; once it elapses the emit is
+  // attempted again.
   const bool retrying = fusion_retry_.has_value();
-  if (retrying) ++degradation_.fusion_retries;
+  const bool retry_due = retrying && update_seq_ >= fusion_retry_->next_at;
+  if (retry_due) ++degradation_.fusion_retries;
+  const bool emit_machine =
+      cfg_.enable_fusion && cfg_.enable_jit && (!retrying || retry_due);
 
   FusionResult r =
-      fuse_pipeline(pipeline_, dp_, goto_map_, decomposed_, cfg_, dp_.fused());
-  if (r.unchanged) return;
-  if (r.fused == nullptr) {
-    if (r.machine_failed) {
-      // The exec-map edge: degrade bursts to the staged walk and schedule a
-      // bounded-backoff re-fusion attempt (the PR 7 retry policy, one knob).
-      ++degradation_.fusion_fallbacks;
-      if (!retrying && cfg_.jit_retry_base_updates > 0) {
-        fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
-                                 cfg_.jit_retry_base_updates};
-      } else if (retrying) {
-        fusion_retry_->backoff =
-            std::min<uint64_t>(fusion_retry_->backoff * 2,
-                               std::max(cfg_.jit_retry_max_updates,
-                                        cfg_.jit_retry_base_updates));
-        fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
-      }
-    } else {
-      fusion_retry_.reset();  // genuinely non-fusable: nothing to retry
+      fuse_pipeline(pipeline_, dp_, goto_map_, sub_slots_, emit_machine, dp_.fused());
+  if (r.machine_failed) {
+    // The exec-map edge: bursts run the machine-free plan and a
+    // bounded-backoff re-fusion attempt is scheduled on the per-table JIT's
+    // retry knobs.
+    ++degradation_.fusion_fallbacks;
+    if (!retrying && cfg_.jit_retry_base_updates > 0) {
+      fusion_retry_ = JitRetry{update_seq_ + cfg_.jit_retry_base_updates,
+                               cfg_.jit_retry_base_updates};
+    } else if (retry_due) {
+      fusion_retry_->backoff = std::min<uint64_t>(
+          fusion_retry_->backoff * 2,
+          std::max(cfg_.jit_retry_max_updates, cfg_.jit_retry_base_updates));
+      fusion_retry_->next_at = update_seq_ + fusion_retry_->backoff;
     }
-    if (dp_.fused() != nullptr) dp_.set_fused(nullptr);
-    return;
-  }
-  if (retrying) {
+  } else if (retry_due) {
     ++degradation_.fusion_recoveries;
     fusion_retry_.reset();
   }
+  if (r.fused == nullptr) return;  // published plan still exact
   ++update_stats_.fusion_republishes;
   dp_.set_fused(std::move(r.fused));
 }

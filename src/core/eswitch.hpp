@@ -155,9 +155,9 @@ class Eswitch {
     uint64_t template_fallbacks = 0;  // exhausted builds demoted to linked list
     uint64_t mods_refused_table_full = 0;  // adds refused at table_capacity
     // Whole-pipeline fusion (jit/fusion.hpp): a fused machine compile the
-    // exec mapper refused degrades bursts to the staged walk, with the same
-    // bounded-backoff retry/recovery ledger as the per-table JIT.
-    uint64_t fusion_fallbacks = 0;   // fused compiles degraded to the staged walk
+    // exec mapper refused degrades bursts to the plan without machine code,
+    // with the same bounded-backoff retry/recovery ledger as the per-table JIT.
+    uint64_t fusion_fallbacks = 0;   // fused compiles degraded to machine-free plans
     uint64_t fusion_retries = 0;     // elapsed re-fusion retry windows
     uint64_t fusion_recoveries = 0;  // degraded pipelines that re-fused
   };
@@ -165,9 +165,13 @@ class Eswitch {
   /// Logical tables currently degraded to the interpreter and awaiting a
   /// re-JIT retry window.
   size_t degraded_jit_tables() const { return degraded_jit_.size(); }
-  /// True while a fused whole-pipeline plan is published (bursts take the
-  /// fused fast path; the scalar process() stays the staged reference).
-  bool fused_active() const { return dp_.fused() != nullptr; }
+  /// True while bursts run the fully fused plan: fusion is enabled, a plan is
+  /// published and no re-fusion retry is armed (the plan then carries every
+  /// machine member the JIT could emit).  Bursts run a plan either way; the
+  /// scalar process() stays the reference walk.
+  bool fused_active() const {
+    return cfg_.enable_fusion && !fusion_retry_.has_value() && dp_.fused() != nullptr;
+  }
 
   /// Retire/reclaim counters of the epoch-based reclamation path (the only
   /// reclamation path; the old caller-coordinated collect() is gone).
@@ -220,9 +224,8 @@ class Eswitch {
   };
   std::map<uint8_t, JitRetry> degraded_jit_;
   /// Re-fusion retry schedule after a fused machine-compile failure (same
-  /// pacing knobs as the per-table schedule).  Invariant: while this is set,
-  /// no fused plan is published — the early-out in refresh_fusion() is only
-  /// safe because there is no stale plan whose impls churn could free.
+  /// pacing knobs as the per-table schedule).  While it is armed, every
+  /// update still re-plans; the plan is published without a machine program.
   std::optional<JitRetry> fusion_retry_;
   uint64_t update_seq_ = 0;  // apply()/apply_batch() calls, for retry pacing
   bool installing_ = false;  // inside compile_all(): rebuilds are not re-selections

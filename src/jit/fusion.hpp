@@ -11,7 +11,7 @@
 // round trip, no slot lookup, no indirect call.  Action-set ids are *sunk
 // into the match code* (the hit site appends the constant id to a caller
 // array), and per-stage lookup/hit/miss counters are bumped directly in
-// machine code so the fused path keeps table-stats parity with the staged
+// machine code so the fused path keeps table-stats parity with the scalar
 // walk.
 //
 // Fused functions use a wider SysV signature than the per-table templates:
@@ -30,12 +30,12 @@
 //                   accumulated action set
 //   bit 62          table miss at stage = low 32 bits — caller applies that
 //                   stage's miss policy
-//   neither         external goto: the walk must continue *staged* at
+//   neither         external goto: the walk must continue in C++ at
 //                   stage = low 32 bits (a non-direct-code member)
 //   bits 32..61     number of action ids appended to `actions`
 //
 // Non-direct-code stages (hash / LPM / range / linked-list) stay in the
-// staged C++ walk; the fused program exposes one entry point per member so
+// burst walk's C++ loop; the fused program exposes one entry point per member so
 // the walk can re-enter machine code whenever control returns to a fused
 // stage.  Everything here is immutable after compile — churn publishes a new
 // FusedProgram through the epoch domain exactly like a table impl.
@@ -87,8 +87,8 @@ class FusedProgram {
   /// `stage_of_slot[slot]` maps a packed-result goto slot to its stage index
   /// (-1 = unknown); `n_stages` bounds both maps.  Returns nullptr when
   /// executable memory is unavailable, linking fails, or a goto target
-  /// cannot be resolved to a forward stage — the caller degrades to the
-  /// staged walk (and may retry per the jit fallback policy).
+  /// cannot be resolved to a forward stage — the caller runs the plan without
+  /// machine code (and may retry per the jit fallback policy).
   static std::shared_ptr<const FusedProgram> compile(
       const std::vector<Member>& members, const std::vector<int32_t>& stage_of_slot,
       uint32_t n_stages);

@@ -709,10 +709,10 @@ void check_ct_point(const BenchReport& r, const BenchSeries& s,
 }
 
 /// Fusion ("fusion") point-shape contract: every point is tagged with a
-/// boolean `fused` counter (1 = the backend actually published a fused
-/// whole-pipeline plan for the measurement, 0 = staged walk or interpreter)
-/// and carries throughput — the fused/staged speedup gate in CI divides two
-/// points and must be able to trust which leg is which.
+/// boolean `fused` counter (1 = the backend ran the fully fused plan for the
+/// measurement, 0 = the plan without machine code, per-table JIT or
+/// interpreter) and carries throughput — the fused/staged speedup gate in CI
+/// divides two points and must be able to trust which leg is which.
 void check_fusion_point(const BenchReport& r, const BenchSeries& s,
                         const BenchPoint& p, std::vector<std::string>* errors) {
   const auto it = p.counters.find("fused");

@@ -55,11 +55,15 @@ std::string verdict_str(const Verdict& v) {
   return "?";
 }
 
-const char* kPathNames[4] = {"es-fused", "es-jit", "es-interp", "ovs"};
+const char* kPathNames[4] = {"es-fused", "es-jit", "es-scalar", "ovs"};
+constexpr int kScalarLeg = 2;
 
 /// The three Eswitch leg configurations: fused (JIT + whole-pipeline
-/// fusion), staged (JIT only) and interpreted.  The planted-fault hook rides
-/// the fused leg — the newest path is the one under the most suspicion.
+/// fusion), per-table JIT (the burst plan without machine code) and
+/// interpreted.  The interpreted leg replays through the scalar process()
+/// walk (ScalarWalk), so the burst walk is always checked against a walk
+/// written separately.  The planted-fault hook rides the fused leg — the
+/// newest path is the one under the most suspicion.
 void make_es_cfgs(const core::CompilerConfig& cfg, core::CompilerConfig out[3]) {
   out[0] = out[1] = out[2] = cfg;
   out[0].enable_jit = true;
@@ -68,6 +72,24 @@ void make_es_cfgs(const core::CompilerConfig& cfg, core::CompilerConfig out[3]) 
   out[1].enable_fusion = false;
   out[2].enable_jit = false;
   out[2].enable_fusion = false;
+}
+
+/// An Eswitch driven packet by packet: process_burst() as n scalar process()
+/// calls.
+struct ScalarWalk {
+  core::Eswitch& sw;
+  void process_burst(net::Packet* const* pkts, uint32_t n, Verdict* out) {
+    for (uint32_t i = 0; i < n; ++i) out[i] = sw.process(*pkts[i]);
+  }
+};
+
+/// Runs `fn` on ES leg `leg`'s view of `sw`: its scalar walk on the scalar
+/// leg, the switch's own bursts elsewhere.
+template <typename Fn>
+auto on_leg(int leg, core::Eswitch& sw, Fn&& fn) {
+  if (leg != kScalarLeg) return fn(sw);
+  ScalarWalk scalar{sw};
+  return fn(scalar);
 }
 
 /// Replays `trace[0..prefix)` through `sw` in kBurstSize bursts, folding
@@ -166,8 +188,9 @@ bool DiffRunner::diverged(const flow::Pipeline& pl, const core::CompilerConfig& 
   for (int i = 0; i < 3; ++i) {
     core::Eswitch sw(es_cfgs[i]);
     sw.install(pl);
+    const auto* fault = i == 0 ? &opts_.fault : nullptr;
     s[i].behavior_hash =
-        replay_hash(sw, trace, prefix, i == 0 ? &opts_.fault : nullptr);
+        on_leg(i, sw, [&](auto& leg) { return replay_hash(leg, trace, prefix, fault); });
     s[i].stats = sw.stats();
   }
   {
@@ -200,7 +223,8 @@ std::string DiffRunner::classify(const flow::Pipeline& pl,
   for (int i = 0; i < 3; ++i) {
     core::Eswitch sw(es_cfgs[i]);
     sw.install(pl);
-    v[i] = step_last(sw, trace, prefix, i == 0 ? &opts_.fault : nullptr, pkt[i]);
+    const auto* fault = i == 0 ? &opts_.fault : nullptr;
+    v[i] = on_leg(i, sw, [&](auto& leg) { return step_last(leg, trace, prefix, fault, pkt[i]); });
     st[i] = sw.stats();
   }
   {

@@ -3,11 +3,13 @@
 //
 // One trace is replayed through four execution paths —
 //
-//   1. core::Eswitch with whole-pipeline fusion on (bursts run the fused
-//      goto-graph function where the plan allows),
-//   2. core::Eswitch with the JIT on but fusion off (the staged per-table
-//      machine-code walk),
-//   3. core::Eswitch with the JIT off (the same lowered IR, interpreted),
+//   1. core::Eswitch with whole-pipeline fusion on (bursts run the plan
+//      with its direct-code members fused into one machine function),
+//   2. core::Eswitch with the JIT on but fusion off (bursts run the same
+//      plan over per-table machine code),
+//   3. core::Eswitch with the JIT off, driven packet by packet through the
+//      scalar process() walk (the same lowered IR, interpreted) — the one
+//      ES leg that does not share the burst walk,
 //   4. ovs::OvsSwitch (microflow/megaflow caches over the slow path),
 //
 // comparing per-packet verdicts, mutated frame bytes and end-of-run

@@ -3,6 +3,8 @@
 // JIT-vs-interpreter parity over the stateful use cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -443,6 +445,95 @@ TEST(CtParity, NatJitVsInterpreter) {
 TEST(CtParity, LbJitVsInterpreter) {
   const uint64_t seed = testing::test_seed(0xC7F3, "CtParity.Lb");
   expect_parity(uc::make_ct_lb(4), 256, 2048, seed);
+}
+
+// --- burst vs scalar: commits inside one burst ------------------------------
+
+/// The use case's traffic with, behind every connection-opening packet, a
+/// second packet of the same new connection and the reply, so first packets,
+/// their repeats and their replies share a burst.  Reply tuples reverse the
+/// egress tuple of a scalar probe run (NAT and LB rewrite the forward
+/// packet), so each reply belongs to the connection its first packet opened.
+std::vector<net::FlowSpec> same_burst_trace(const uc::CtUseCase& c, const CompilerConfig& cfg,
+                                            size_t n_flows, uint64_t seed) {
+  Eswitch probe(cfg);
+  probe.install(c.pipeline);
+  std::vector<net::FlowSpec> out;
+  for (const net::FlowSpec& fwd : c.traffic(n_flows, seed)) {
+    out.push_back(fwd);
+    if (fwd.in_port != uc::kCtInsidePort) continue;
+    auto p = make_packet(fwd.pkt, fwd.in_port);
+    if (probe.process(p).kind != Verdict::Kind::kOutput) continue;
+    out.push_back(fwd);
+    const proto::ParseInfo pi = test::parse_packet(p);
+    const auto field = [&](flow::FieldId f) { return flow::extract_field(f, p.data(), pi); };
+    net::FlowSpec rep = fwd;
+    rep.in_port = uc::kCtOutsidePort;
+    rep.pkt.ip_src = static_cast<uint32_t>(field(flow::FieldId::kIpDst));
+    rep.pkt.ip_dst = static_cast<uint32_t>(field(flow::FieldId::kIpSrc));
+    rep.pkt.sport = static_cast<uint16_t>(field(flow::FieldId::kTcpDst));
+    rep.pkt.dport = static_cast<uint16_t>(field(flow::FieldId::kTcpSrc));
+    rep.pkt.tcp_flags = static_cast<uint8_t>(proto::kTcpFlagSyn | proto::kTcpFlagAck);
+    out.push_back(rep);
+  }
+  return out;
+}
+
+/// process_burst over full bursts must match n scalar process() calls on a
+/// second switch: verdicts, post-NAT bytes, verdict-level stats and the
+/// connection table's commits and live count.
+void expect_burst_matches_scalar(const uc::CtUseCase& c, size_t n_flows, uint64_t seed) {
+  CompilerConfig cfg = cfg_for(c);
+  cfg.ct.manual_clock = true;
+  const std::vector<net::FlowSpec> trace = same_burst_trace(c, cfg, n_flows, seed);
+  Eswitch burst_sw(cfg), scalar_sw(cfg);
+  burst_sw.install(c.pipeline);
+  scalar_sw.install(c.pipeline);
+
+  std::vector<net::Packet> bufs(net::kBurstSize);
+  net::Packet* ptrs[net::kBurstSize];
+  Verdict out[net::kBurstSize];
+  for (uint32_t b = 0; b < net::kBurstSize; ++b) ptrs[b] = &bufs[b];
+  for (size_t i = 0; i < trace.size(); i += net::kBurstSize) {
+    const uint32_t n = static_cast<uint32_t>(std::min<size_t>(net::kBurstSize, trace.size() - i));
+    for (uint32_t b = 0; b < n; ++b) bufs[b] = make_packet(trace[i + b].pkt, trace[i + b].in_port);
+    burst_sw.process_burst(ptrs, n, out);
+    for (uint32_t b = 0; b < n; ++b) {
+      auto ref = make_packet(trace[i + b].pkt, trace[i + b].in_port);
+      ASSERT_EQ(out[b], scalar_sw.process(ref)) << "packet " << i + b;
+      ASSERT_EQ(bufs[b].len(), ref.len()) << "packet " << i + b;
+      ASSERT_EQ(std::memcmp(bufs[b].data(), ref.data(), ref.len()), 0)
+          << "post-NAT bytes diverge at packet " << i + b;
+    }
+  }
+  const core::DataplaneStats da = burst_sw.stats();
+  const core::DataplaneStats db = scalar_sw.stats();
+  EXPECT_EQ(da.packets, db.packets);
+  EXPECT_EQ(da.outputs, db.outputs);
+  EXPECT_EQ(da.drops, db.drops);
+  EXPECT_EQ(da.to_controller, db.to_controller);
+  EXPECT_EQ(da.ct_entries, db.ct_entries);
+  EXPECT_EQ(da.ct_commit_drops, db.ct_commit_drops);
+  const Conntrack::Stats sa = burst_sw.conntrack()->stats();
+  const Conntrack::Stats sb = scalar_sw.conntrack()->stats();
+  EXPECT_EQ(sa.commits, sb.commits);
+  EXPECT_EQ(sa.live, sb.live);
+  EXPECT_EQ(sa.hits, sb.hits);
+}
+
+TEST(CtParity, BurstMatchesScalarFirewall) {
+  const uint64_t seed = testing::test_seed(0xC7B1, "CtParity.BurstFirewall");
+  expect_burst_matches_scalar(uc::make_ct_firewall(), 256, seed);
+}
+
+TEST(CtParity, BurstMatchesScalarNat) {
+  const uint64_t seed = testing::test_seed(0xC7B2, "CtParity.BurstNat");
+  expect_burst_matches_scalar(uc::make_ct_nat(uc::kCtNatDefaultIp), 256, seed);
+}
+
+TEST(CtParity, BurstMatchesScalarLb) {
+  const uint64_t seed = testing::test_seed(0xC7B3, "CtParity.BurstLb");
+  expect_burst_matches_scalar(uc::make_ct_lb(4), 256, seed);
 }
 
 // --- concurrent churn --------------------------------------------------------

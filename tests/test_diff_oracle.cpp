@@ -1,6 +1,7 @@
-// The differential oracle end to end: seeded campaigns prove the three
-// execution paths (ES with JIT, ES interpreted, the OVS-model baseline) agree
-// on arbitrary pipelines and traffic; a planted fault proves the minimizer
+// The differential oracle end to end: seeded campaigns prove the four
+// execution paths (ES fused, ES per-table JIT, ES interpreted through the
+// scalar walk, the OVS-model baseline) agree on arbitrary pipelines and
+// traffic; a planted fault proves the minimizer
 // finds the shortest failing prefix and emits a replayable pcap+DSL artifact.
 //
 // Scale knobs (all env-overridable so CI legs can size the run):
@@ -37,7 +38,7 @@ uint32_t env_u32(const char* name, uint32_t def) {
   return v > 0 ? static_cast<uint32_t>(v) : def;
 }
 
-// The acceptance gate: N seeded campaigns, zero divergences across all three
+// The acceptance gate: N seeded campaigns, zero divergences across all four
 // paths.  Defaults satisfy "10 campaigns, >= 50 pipelines, >= 10K packets
 // per pipeline".
 TEST(DiffOracle, SeededCampaignsFindNoDivergence) {
@@ -64,7 +65,7 @@ TEST(DiffOracle, SeededCampaignsFindNoDivergence) {
         << "\n  detail: " << d->detail << "\n  repro: " << d->rules_path << " + "
         << d->pcap_path;
   }
-  std::printf("[diff-oracle] %llu pipelines, %llu packets x 3 paths, 0 divergences\n",
+  std::printf("[diff-oracle] %llu pipelines, %llu packets x 4 paths, 0 divergences\n",
               static_cast<unsigned long long>(total_pipelines),
               static_cast<unsigned long long>(total_packets));
   // Acceptance floor — only meaningful when nothing scaled the run down.

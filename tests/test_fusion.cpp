@@ -1,14 +1,16 @@
-// Whole-pipeline JIT fusion (jit/fusion.hpp, core::fuse_pipeline): the fused
-// burst fast path must be observably identical to the staged per-table walk —
-// same verdicts, same packet mutations, same per-table and global stats — for
-// every template shape, goto chains, both miss policies, and under churn.
+// The pipeline plan (core::fuse_pipeline) and the one burst walk that runs it,
+// with and without whole-pipeline JIT fusion (jit/fusion.hpp): bursts must be
+// observably identical to n scalar process() calls — same verdicts, same
+// packet mutations, same per-table and global stats — for every template
+// shape, goto chains, decomposed tables, both miss policies, and under churn.
 // The degradation story is covered too: an exec-map refusal during the fused
-// compile degrades bursts to the staged walk, is accounted in the fusion
-// ledger, and heals through the bounded-backoff retry; pathological goto
-// graphs (cycles hand-wired below the control-plane validator) terminate in
-// the shared loop-bound drop instead of hanging the walk.
+// compile leaves the plan published without machine code, is accounted in
+// the fusion ledger, and heals through the bounded-backoff retry;
+// pathological goto graphs (cycles hand-wired below the control-plane
+// validator) terminate in the shared loop-bound drop instead of hanging.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <thread>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/compiler.hpp"
+#include "core/decompose.hpp"
 #include "core/eswitch.hpp"
 #include "flow/dsl.hpp"
 #include "jit/exec_mem.hpp"
@@ -111,6 +114,26 @@ RunResult run_bursts(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
   return r;
 }
 
+/// The same sequence packet by packet through the scalar reference walk.
+RunResult run_scalar(Eswitch& sw, const net::TrafficSet& ts, size_t n) {
+  RunResult r;
+  net::Packet p;
+  for (size_t i = 0; i < n; ++i) {
+    ts.load(i, p);
+    r.verdicts.push_back(sw.process(p));
+    r.digests.push_back(packet_digest(p));
+  }
+  return r;
+}
+
+void expect_runs_equal(const RunResult& a, const RunResult& b, const char* what) {
+  ASSERT_EQ(a.verdicts.size(), b.verdicts.size()) << what;
+  for (size_t i = 0; i < a.verdicts.size(); ++i) {
+    ASSERT_EQ(a.verdicts[i], b.verdicts[i]) << what << ", packet " << i;
+    ASSERT_EQ(a.digests[i], b.digests[i]) << what << ", packet " << i;
+  }
+}
+
 void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   const auto sa = a.datapath().stats();
   const auto sb = b.datapath().stats();
@@ -128,30 +151,33 @@ void expect_stats_equal(const Eswitch& a, const Eswitch& b) {
   }
 }
 
-/// Same pipeline into a fused and a fusion-disabled switch, same burst
-/// sequence: verdicts, frame mutations, verdict-level and per-slot stats must
-/// agree packet for packet.
+/// Same pipeline into a fused switch, a fusion-disabled one (the plan without
+/// machine code) and a scalar reference driven through process(): verdicts,
+/// frame mutations, verdict-level and per-slot stats must agree packet for
+/// packet.
 void expect_fused_parity(const Pipeline& pl,
                          const std::vector<net::FlowSpec>& flows,
                          CompilerConfig cfg = {}, size_t n_packets = 3000) {
-  CompilerConfig fused_cfg = cfg, staged_cfg = cfg;
+  CompilerConfig fused_cfg = cfg, plain_cfg = cfg;
   fused_cfg.enable_fusion = true;
-  staged_cfg.enable_fusion = false;
-  Eswitch fused_sw(fused_cfg), staged_sw(staged_cfg);
+  plain_cfg.enable_fusion = false;
+  Eswitch fused_sw(fused_cfg), plain_sw(plain_cfg), scalar_sw(cfg);
   fused_sw.install(pl);
-  staged_sw.install(pl);
+  plain_sw.install(pl);
+  scalar_sw.install(pl);
   ASSERT_TRUE(fused_sw.fused_active()) << "plan was not published";
-  ASSERT_FALSE(staged_sw.fused_active());
+  ASSERT_FALSE(plain_sw.fused_active());
+  ASSERT_NE(plain_sw.datapath().fused(), nullptr) << "fusion off published no plan";
+  ASSERT_EQ(plain_sw.datapath().fused()->program, nullptr);
   const auto ts = net::TrafficSet::from_flows(flows);
 
   const RunResult f = run_bursts(fused_sw, ts, n_packets);
-  const RunResult s = run_bursts(staged_sw, ts, n_packets);
-  ASSERT_EQ(f.verdicts.size(), s.verdicts.size());
-  for (size_t i = 0; i < f.verdicts.size(); ++i) {
-    ASSERT_EQ(f.verdicts[i], s.verdicts[i]) << "packet " << i;
-    ASSERT_EQ(f.digests[i], s.digests[i]) << "packet " << i;
-  }
-  expect_stats_equal(fused_sw, staged_sw);
+  const RunResult p = run_bursts(plain_sw, ts, n_packets);
+  const RunResult s = run_scalar(scalar_sw, ts, n_packets);
+  expect_runs_equal(f, s, "fused vs scalar");
+  expect_runs_equal(p, s, "machine-free plan vs scalar");
+  expect_stats_equal(fused_sw, scalar_sw);
+  expect_stats_equal(plain_sw, scalar_sw);
 }
 
 // --- fusability ------------------------------------------------------------
@@ -214,32 +240,73 @@ TEST(Fusion, ActiveForEveryTemplateShape) {
   }
 }
 
-TEST(Fusion, NotFusedWhenDisabledOrDecomposed) {
-  {
-    CompilerConfig cfg;
-    cfg.enable_fusion = false;
-    Eswitch sw(cfg);
-    sw.install(uc::make_l2(64).pipeline);
-    EXPECT_FALSE(sw.fused_active());
+/// Snort-shaped traffic for make_snort_like_acls: mostly TCP toward the
+/// ACLs' HOME_NET and service ports, with their source qualifiers.
+std::vector<net::FlowSpec> acl_traffic(size_t n, uint64_t seed) {
+  static const uint16_t kPorts[] = {80, 21, 25, 53, 110, 143, 443, 445, 1433, 3306, 139, 8080};
+  Rng rng(seed);
+  std::vector<net::FlowSpec> flows(n);
+  for (net::FlowSpec& f : flows) {
+    const uint32_t src = rng.chance(1, 2) ? static_cast<uint32_t>(rng.below(4))
+                                          : static_cast<uint32_t>(rng.next());
+    const uint32_t dst = 0xC0A80000u + static_cast<uint32_t>(rng.below(5));
+    const uint16_t sport = static_cast<uint16_t>(
+        rng.chance(1, 2) ? 1024 + rng.below(8) : rng.below(0x10000));
+    const uint16_t dport = rng.chance(9, 10) ? kPorts[rng.below(std::size(kPorts))]
+                                             : static_cast<uint16_t>(rng.below(0x10000));
+    f.pkt = rng.chance(9, 10) ? test::tcp_spec(src, dst, sport, dport)
+                              : test::udp_spec(src, dst, sport, dport);
+    f.in_port = 1;
   }
-  {
-    CompilerConfig cfg;
-    cfg.enable_decomposition = true;
-    Eswitch sw(cfg);
-    const auto uc = uc::make_load_balancer(20);
-    sw.install(uc.pipeline);
-    ASSERT_TRUE(sw.is_decomposed(0));
-    EXPECT_FALSE(sw.fused_active());
-    // The staged walk still serves the decomposed pipeline correctly.
-    net::Packet p = test::make_packet(uc.traffic(4, 5)[0].pkt);
-    net::Packet* pp = &p;
-    Verdict v;
-    sw.process_burst(&pp, 1, &v);
-    EXPECT_EQ(sw.datapath().stats().packets, 1u);
+  return flows;
+}
+
+TEST(Fusion, PlanPublishedUnderEveryConfig) {
+  // Every non-empty pipeline gets a plan: with fusion on or off, with
+  // decomposed tables, and when the fused emit is refused.
+  std::vector<Pipeline> pipelines;
+  pipelines.push_back(uc::make_l2(64).pipeline);
+  pipelines.push_back(uc::make_gateway(4, 8, 200).pipeline);
+  pipelines.push_back(uc::make_load_balancer(20).pipeline);
+  const flow::FlowTable acls = uc::make_snort_like_acls(32);
+  pipelines.emplace_back();
+  for (const flow::FlowEntry& e : acls.entries()) pipelines.back().table(0).add(e);
+
+  for (size_t k = 0; k < pipelines.size(); ++k) {
+    const Pipeline& pl = pipelines[k];
+    for (int variant = 0; variant < 4; ++variant) {
+      CompilerConfig cfg;
+      cfg.enable_fusion = variant != 1;
+      cfg.enable_decomposition = variant == 2;
+      Eswitch sw(cfg);
+      {
+        const bool refuse = variant == 3 && jit::ExecBuffer::supported();
+        if (refuse) jit::ExecBuffer::force_failure_for_testing(true);
+        sw.install(pl);
+        if (refuse) jit::ExecBuffer::force_failure_for_testing(false);
+      }
+      const FusedPipeline* fp = sw.datapath().fused();
+      ASSERT_NE(fp, nullptr) << "pipeline " << k << " variant " << variant;
+      size_t expect_stages = 0;
+      for (const flow::FlowTable& t : pl.tables())
+        expect_stages += std::max<uint32_t>(1, sw.decomposed_table_count(t.id()));
+      EXPECT_EQ(fp->stages.size(), expect_stages) << "pipeline " << k;
+      if (variant == 1 || variant == 3) {
+        EXPECT_EQ(fp->program, nullptr) << "pipeline " << k;
+      }
+      const bool has_dc = std::any_of(fp->stages.begin(), fp->stages.end(), [](const auto& st) {
+        return st.impl != nullptr && st.impl->kind() == TableTemplate::kDirectCode;
+      });
+      const bool refused = sw.degradation_stats().fusion_fallbacks != 0;
+      EXPECT_EQ(refused, variant == 3 && has_dc && jit::ExecBuffer::supported())
+          << "pipeline " << k;
+      EXPECT_EQ(sw.fused_active(), variant != 1 && !refused)
+          << "pipeline " << k << " variant " << variant;
+    }
   }
 }
 
-// --- fused/staged parity ----------------------------------------------------
+// --- burst/scalar parity ----------------------------------------------------
 
 TEST(Fusion, ParityDirectCodeGotoChainWithMutationsAndControllerMiss) {
   // Three direct-code tables chained by gotos; the middle one's miss goes to
@@ -298,6 +365,47 @@ TEST(Fusion, ParityLinkedListAcls) {
 TEST(Fusion, ParityGatewayMultiTable) {
   const auto uc = uc::make_gateway(4, 8, 200);
   expect_fused_parity(uc.pipeline, uc.traffic(1500, 31));
+}
+
+TEST(Fusion, ParityDecomposedLoadBalancer) {
+  // The Fig. 12 load balancer decomposes into a router over in_port and
+  // per-key residual tables; the plan walks the root and its sub-slots.
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  const auto uc = uc::make_load_balancer(20);
+  Eswitch probe(cfg);
+  probe.install(uc.pipeline);
+  ASSERT_TRUE(probe.is_decomposed(0));
+  ASSERT_GT(probe.decomposed_table_count(0), 2u);
+  expect_fused_parity(uc.pipeline, uc.traffic(2000, 5), cfg);
+}
+
+TEST(Fusion, ParityDecomposedAclsWithSharedSubTables) {
+  // Decomposing these ACLs memoizes identical residual tables, so the
+  // decomposer's emit order places some shared sub-tables *before* a router
+  // that jumps to them.  The plan needs the topological order decompose()
+  // returns: a backward stage transition would be a guard drop.
+  const flow::FlowTable acls = uc::make_snort_like_acls(32);
+  const core::DecomposedPipeline d = core::decompose(acls);
+  std::vector<int> in_degree(d.tables.size(), 0);
+  for (size_t t = 0; t < d.tables.size(); ++t) {
+    for (const auto& e : d.tables[t].entries) {
+      if (e.internal_next < 0) continue;
+      EXPECT_GT(e.internal_next, static_cast<int32_t>(t)) << "not topological";
+      ++in_degree[static_cast<size_t>(e.internal_next)];
+    }
+  }
+  ASSERT_GT(*std::max_element(in_degree.begin(), in_degree.end()), 1)
+      << "no memoized sub-table shared by two routers";
+
+  Pipeline pl;
+  for (const flow::FlowEntry& e : acls.entries()) pl.table(0).add(e);
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  Eswitch probe(cfg);
+  probe.install(pl);
+  ASSERT_TRUE(probe.is_decomposed(0));
+  expect_fused_parity(pl, acl_traffic(1500, 0xAC1), cfg);
 }
 
 // --- churn: republish, fingerprint skip, program reuse ----------------------
@@ -384,7 +492,7 @@ struct ExecFailGuard {
 TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   if (!jit::ExecBuffer::supported()) GTEST_SKIP() << "no executable memory";
   CompilerConfig cfg;
-  cfg.jit_retry_base_updates = 2;  // short windows so the test sees recovery
+  cfg.jit_retry_base_updates = 4;  // short windows so the test sees recovery
   Pipeline pl;
   pl.table(0).add(parse_rule("priority=10,udp_dst=53,actions=goto:1"));
   pl.table(0).add(parse_rule("priority=0,actions=goto:1"));  // catch-all
@@ -393,34 +501,90 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
   sw.install(pl);
   ASSERT_TRUE(sw.fused_active());
   ASSERT_NE(sw.datapath().fused()->program, nullptr);
+  // A registered worker turns every update into a clone-swap or rebuild
+  // whose displaced impls retire through the epoch domain.
+  Eswitch::Worker* w = sw.register_worker();
+  ASSERT_NE(w, nullptr);
 
   {
     ExecFailGuard guard;
     // The rebuild degrades the table to the interpreter AND refuses the
-    // fused re-compile: the plan must be cleared, not left stale.
+    // fused re-compile: the plan is republished without a machine program.
     sw.apply(add_mod(1, "priority=9,udp_dst=99,actions=output:5"));
   }
-  EXPECT_FALSE(sw.fused_active()) << "refused compile left a plan published";
+  const FusedPipeline* degraded = sw.datapath().fused();
+  ASSERT_NE(degraded, nullptr) << "refused compile published no plan";
+  EXPECT_EQ(degraded->program, nullptr);
+  EXPECT_FALSE(sw.fused_active()) << "retry armed, yet reported fully fused";
   EXPECT_EQ(sw.degradation_stats().fusion_fallbacks, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 0u);
 
-  // Degraded bursts still process correctly through the staged walk.
-  net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, 99));
-  net::Packet* pp = &p;
-  Verdict v;
-  sw.process_burst(&pp, 1, &v);
-  EXPECT_EQ(v, Verdict::output(5));
+  // Churn inside the retry window: a worker thread keeps running bursts
+  // while each update rebuilds table 1 and republishes the machine-free plan
+  // (its predecessor pins the impl the rebuild retired).
+  const auto ts = net::TrafficSet::from_flows({
+      {test::udp_spec(1, 2, 9, 53), 0},
+      {test::udp_spec(1, 2, 9, 99), 0},
+      {test::udp_spec(1, 2, 9, 7), 0},
+  });
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> processed{0};
+  std::thread worker([&] {
+    std::vector<net::Packet> bufs(net::kBurstSize);
+    std::vector<net::Packet*> ptrs(bufs.size());
+    Verdict verdicts[net::kBurstSize];
+    for (size_t b = 0; b < bufs.size(); ++b) ptrs[b] = &bufs[b];
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (uint32_t b = 0; b < net::kBurstSize; ++b) ts.load(b % 3, bufs[b]);
+      sw.process_burst(*w, ptrs.data(), net::kBurstSize, verdicts);
+      processed.fetch_add(net::kBurstSize, std::memory_order_relaxed);
+    }
+  });
+  while (processed.load() == 0) std::this_thread::yield();
+  const auto republishes = sw.update_stats().fusion_republishes;
+  for (int k = 0; k < 3; ++k) {
+    sw.apply(add_mod(1, "priority=8,udp_dst=" + std::to_string(100 + k) +
+                            ",actions=output:" + std::to_string(6 + k)));
+    ASSERT_NE(sw.datapath().fused(), nullptr);
+    EXPECT_EQ(sw.datapath().fused()->program, nullptr) << "emit retried inside the window";
+    EXPECT_FALSE(sw.fused_active());
+  }
+  stop.store(true);
+  worker.join();
+  EXPECT_EQ(sw.update_stats().fusion_republishes, republishes + 3);
+  EXPECT_EQ(sw.degradation_stats().fusion_retries, 0u);
+  const auto st = sw.datapath().stats();
+  EXPECT_EQ(st.packets, processed.load());
+  EXPECT_EQ(st.packets, st.outputs + st.drops + st.to_controller);
 
-  // Two healthy updates elapse the retry window; the re-fusion must land and
-  // be accounted as a recovery.
-  sw.apply(add_mod(1, "priority=8,udp_dst=100,actions=output:6"));
-  sw.apply(add_mod(1, "priority=7,udp_dst=101,actions=output:7"));
+  // The machine-free plan serves every rule, old and new.
+  for (const auto& [port, out] : std::vector<std::pair<uint16_t, Verdict>>{
+           {53, Verdict::output(4)},
+           {99, Verdict::output(5)},
+           {102, Verdict::output(8)},
+           {7, Verdict::drop()}}) {
+    net::Packet p = test::make_packet(test::udp_spec(1, 2, 9, port));
+    net::Packet* pp = &p;
+    Verdict v;
+    sw.process_burst(&pp, 1, &v);
+    EXPECT_EQ(v, out) << "udp_dst " << port;
+  }
+  sw.unregister_worker(w);
+  sw.datapath().reclaim();
+  EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u)
+      << "plans/impls retired inside the window stuck after the worker left";
+
+  // The next update elapses the window; the re-fusion must land and be
+  // accounted as a recovery.
+  sw.apply(add_mod(1, "priority=7,udp_dst=200,actions=output:9"));
   EXPECT_TRUE(sw.fused_active()) << "retry window elapsed without re-fusing";
-  EXPECT_GE(sw.degradation_stats().fusion_retries, 1u);
+  ASSERT_NE(sw.datapath().fused()->program, nullptr);
+  EXPECT_EQ(sw.degradation_stats().fusion_retries, 1u);
   EXPECT_EQ(sw.degradation_stats().fusion_recoveries, 1u);
 
   net::Packet p2 = test::make_packet(test::udp_spec(1, 2, 9, 53));
   net::Packet* pp2 = &p2;
+  Verdict v;
   sw.process_burst(&pp2, 1, &v);
   EXPECT_EQ(v, Verdict::output(4));
 }
@@ -430,8 +594,9 @@ TEST(Fusion, ExecMapFailureFallsBackThenRecovers) {
 TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   // Two interpreter tables hand-wired into a cycle via raw internal_next slot
   // ids — below the control-plane validator (which enforces forward gotos).
-  // Both walk flavors must terminate in kMaxHops drops, with the stats
-  // windows flushed mid-walk (the hoisted lap guard), not hang.
+  // Both walks must terminate in a drop, not hang: the scalar walk at
+  // kMaxHops with its stats windows flushed mid-walk (the hoisted lap
+  // guard), the burst walk at its forward-only stage guard.
   CompiledDatapath dp;
   const core::GotoMap gmap(256, -1);
   core::BuildCtx ctx{dp.actions(), gmap};
@@ -447,18 +612,12 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
 
   net::Packet p = test::make_packet(test::udp_spec(1, 2, 3, 4));
   EXPECT_EQ(dp.process(p), Verdict::drop());  // scalar walk
-
-  net::Packet* pp = &p;
-  Verdict v = Verdict::output(9);
-  dp.process_burst(&pp, 1, &v);  // staged burst walk
-  EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().packets, 2u);
-  EXPECT_EQ(dp.stats().drops, 2u);
+  EXPECT_EQ(dp.stats().packets, 1u);
+  EXPECT_EQ(dp.stats().drops, 1u);
   // Every hop was counted before the guard dropped the packet.
   const auto ts0 = dp.table_stats(s0);
   const auto ts1 = dp.table_stats(s1);
-  EXPECT_EQ(ts0.lookups + ts1.lookups,
-            2u * static_cast<uint64_t>(CompiledDatapath::kMaxHops));
+  EXPECT_EQ(ts0.lookups + ts1.lookups, static_cast<uint64_t>(CompiledDatapath::kMaxHops));
 
   // A hand-built fused plan with the same backward edge: the fused walk's
   // monotone-stage guard must drop at the first backward transition.
@@ -471,9 +630,15 @@ TEST(Fusion, GotoCycleTerminatesInBoundedDrop) {
   fp->stage_of_slot[static_cast<size_t>(s0)] = 0;
   fp->stage_of_slot[static_cast<size_t>(s1)] = 1;
   dp.set_fused(std::move(fp));
+  net::Packet* pp = &p;
+  Verdict v = Verdict::output(9);
   dp.process_burst(&pp, 1, &v);
   EXPECT_EQ(v, Verdict::drop());
-  EXPECT_EQ(dp.stats().drops, 3u);
+  EXPECT_EQ(dp.stats().packets, 2u);
+  EXPECT_EQ(dp.stats().drops, 2u);
+  // Both stages were looked up once; the backward transition took no lookup.
+  EXPECT_EQ(dp.table_stats(s0).lookups + dp.table_stats(s1).lookups,
+            static_cast<uint64_t>(CompiledDatapath::kMaxHops) + 2);
 }
 
 // --- concurrent churn: epoch-safe republish ---------------------------------
@@ -529,6 +694,89 @@ TEST(Fusion, ConcurrentChurnRepublishesEpochSafely) {
   sw.datapath().reclaim();
   EXPECT_EQ(sw.datapath().reclaim_stats().pending, 0u)
       << "retired plans/impls stuck after the last worker left";
+}
+
+TEST(Fusion, DecomposedRebuildsUnderTwoWorkers) {
+  // Two packet workers run bursts through a decomposed load balancer while
+  // the control thread churns its rules: every mod rebuilds the logical
+  // table (fresh sub-slots, a root swap) and retires the previous sub-slot
+  // chain while the plan republishes.  Packets must be conserved, the plan
+  // must survive, and every retired slot/impl/plan must drain afterwards.
+  CompilerConfig cfg;
+  cfg.enable_decomposition = true;
+  const auto uc = uc::make_load_balancer(10);
+  Eswitch sw(cfg);
+  sw.install(uc.pipeline);
+  ASSERT_TRUE(sw.is_decomposed(0));
+  ASSERT_TRUE(sw.fused_active());
+
+  Eswitch::Worker* ws[2] = {sw.register_worker(), sw.register_worker()};
+  ASSERT_NE(ws[0], nullptr);
+  ASSERT_NE(ws[1], nullptr);
+  const auto ts = net::TrafficSet::from_flows(uc.traffic(512, 17));
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> processed{0};
+  std::vector<std::thread> threads;
+  for (Eswitch::Worker* w : ws) {
+    threads.emplace_back([&, w] {
+      std::vector<net::Packet> bufs(net::kBurstSize);
+      std::vector<net::Packet*> ptrs(bufs.size());
+      Verdict verdicts[net::kBurstSize];
+      for (size_t b = 0; b < bufs.size(); ++b) ptrs[b] = &bufs[b];
+      size_t i = w->id() * 97;
+      while (!stop.load(std::memory_order_relaxed)) {
+        for (uint32_t b = 0; b < net::kBurstSize; ++b) ts.load((i + b) % 512, bufs[b]);
+        sw.process_burst(*w, ptrs.data(), net::kBurstSize, verdicts);
+        processed.fetch_add(net::kBurstSize, std::memory_order_relaxed);
+        i += net::kBurstSize;
+      }
+    });
+  }
+
+  while (processed.load() == 0) std::this_thread::yield();
+  const auto rebuilds = sw.update_stats().table_rebuilds;
+  const auto republishes = sw.update_stats().fusion_republishes;
+  for (int k = 0; k < 40; ++k) {
+    FlowMod fm;
+    fm.command = k % 2 == 0 ? FlowMod::Cmd::kAdd : FlowMod::Cmd::kDelete;
+    fm.table_id = 0;
+    fm.priority = 20;
+    fm.match.set(FieldId::kInPort, 1);
+    fm.match.set(FieldId::kIpDst, 0x0A020000u | static_cast<uint32_t>(k / 2));
+    fm.match.set(FieldId::kTcpDst, 80);
+    fm.actions.push_back(flow::Action::output(50));
+    sw.apply(fm);
+  }
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+  for (Eswitch::Worker* w : ws) sw.unregister_worker(w);
+
+  EXPECT_EQ(sw.update_stats().table_rebuilds, rebuilds + 40);
+  EXPECT_EQ(sw.update_stats().fusion_republishes, republishes + 40);
+  EXPECT_TRUE(sw.is_decomposed(0));
+  EXPECT_TRUE(sw.fused_active()) << "churn ended with the plan lost";
+  const auto st = sw.datapath().stats();
+  EXPECT_EQ(st.packets, processed.load());
+  EXPECT_EQ(st.packets, st.outputs + st.drops + st.to_controller);
+  sw.datapath().reclaim();
+  const auto rs = sw.datapath().reclaim_stats();
+  EXPECT_EQ(rs.pending, 0u) << "retired sub-slots/impls/plans stuck after the workers left";
+  EXPECT_EQ(rs.retired, rs.reclaimed);
+
+  // The settled switch still agrees with its scalar walk.
+  std::vector<net::Packet> bufs(64);
+  std::vector<net::Packet*> ptrs(bufs.size());
+  std::vector<Verdict> out(bufs.size());
+  for (size_t b = 0; b < bufs.size(); ++b) {
+    ts.load(b, bufs[b]);
+    ptrs[b] = &bufs[b];
+  }
+  sw.process_burst(ptrs.data(), static_cast<uint32_t>(bufs.size()), out.data());
+  for (size_t b = 0; b < bufs.size(); ++b) {
+    net::Packet p;
+    ts.load(b, p);
+    EXPECT_EQ(out[b], sw.process(p)) << "packet " << b;
+  }
 }
 
 }  // namespace
